@@ -19,7 +19,8 @@ race:
 
 # Short fuzz pass over the decoder and data-structure targets: the
 # assembler/disassembler round trips, the RLP and consensus-type
-# decoders, and the multi-version memory against its sequential oracle.
+# decoders, the multi-version memory against its sequential oracle, and
+# the store's running state commitment against a from-scratch recompute.
 fuzz-smoke:
 	$(GO) test ./internal/asm -run '^$$' -fuzz FuzzAssemble -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/asm -run '^$$' -fuzz FuzzDisassemble -fuzztime $(FUZZTIME)
@@ -27,6 +28,7 @@ fuzz-smoke:
 	$(GO) test ./internal/types -run '^$$' -fuzz FuzzDecodeTransactionRLP -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/types -run '^$$' -fuzz FuzzDecodeBlockRLP -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/mvstate -run '^$$' -fuzz FuzzMVMemory -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/mvstate -run '^$$' -fuzz FuzzStoreCommitment -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/arch -run '^$$' -fuzz FuzzSymbolTable -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/difftest -run '^$$' -fuzz FuzzDiffEngines -fuzztime $(FUZZTIME)
 
@@ -87,9 +89,10 @@ report-smoke:
 # ledger, and exits non-zero on any shadow divergence or telemetry
 # invariant violation (blocks lost/duplicated, queues not drained).
 # The second pass is the chained digest-continuity gate: a shorter
-# stream under the race detector with -verify-chain, which recomputes
-# the head-state digest after every fold and halts on any mismatch
-# between the priced pre-fold digest and the folded head.
+# stream under the race detector with -verify-chain, which after every
+# fold checks the head's running commitment against the priced pre-fold
+# digest and against the head state hashed from scratch, and halts on
+# any mismatch.
 serve-smoke:
 	rm -f bench_serve.jsonl
 	$(GO) run ./cmd/mtpu-serve -source blocks=500,txs=32,dep=0.3,seed=1 \

@@ -56,10 +56,10 @@ func realMain(args []string) int {
 		fmt.Sprintf("engine to execute blocks on; with -source, a comma list or \"all\" (registered: %s)",
 			strings.Join(engine.Names(), ", ")))
 	pus := fs.Int("pus", 4, "number of processing units")
-	queue := fs.Int("queue", stream.DefaultQueueDepth, "bounded depth of each pipeline stage queue")
+	queue := fs.Int("queue", stream.DefaultQueueDepth, "most blocks in flight (accepted but not yet committed or rejected); ingest answers 429 beyond it")
 	shadowSample := fs.Float64("shadow-sample", 0.1, "fraction of committed blocks re-executed through the sequential oracle (0 disables, 1 checks every block)")
 	shadowLog := fs.Bool("shadow-log", false, "log shadow-validation mismatches and keep serving instead of halting")
-	verifyChain := fs.Bool("verify-chain", false, "recompute the head-state digest after every fold and halt on digest-continuity mismatch (full-state hashing per block; CI/debugging)")
+	verifyChain := fs.Bool("verify-chain", false, "after every fold, check the head's running state commitment against the block's priced digest and against the head state hashed from scratch, and halt on a mismatch (full-state hashing per block; CI/debugging)")
 	hotspotTop := fs.Int("hotspot-top", 8, "hot contracts learned into the Contract Table after each block (0 disables)")
 	source := fs.String("source", "", fmt.Sprintf("replay a generated block stream in-process (stream spec, e.g. blocks=500,txs=64,dep=0.3,seed=1, or scenario spec, e.g. scenario=dex,blocks=500,txs=64,skew=1.2,seed=1; scenarios: %s)",
 		strings.Join(workload.Scenarios, ", ")))

@@ -228,3 +228,38 @@ func Selector(signature string) [4]byte {
 	copy(s[:], d[:4])
 	return s
 }
+
+// WideLanes is the number of 64-bit lanes Wide returns: 1024 bits.
+const WideLanes = 16
+
+// wideDomain is Wide's domain-separation byte. It differs from the
+// legacy Keccak padding byte (0x01) and from the FIPS 202 SHA-3 (0x06)
+// and SHAKE (0x1F) suffixes, so a Wide output never coincides with any
+// of those hashes of the same input.
+const wideDomain = 0x0B
+
+// Wide expands data to 1024 pseudorandom bits with a single Keccak-f
+// permutation: data is padded into one rate block under Wide's own
+// domain byte, permuted once, and the first WideLanes lanes are
+// squeezed. It is the leaf function of the additive state commitment:
+// every leaf needs its own permutation, and one is the least a leaf
+// can cost, so hashing a whole state from scratch stays within about
+// 1.5× of streaming the same bytes through Sum256. data must be
+// shorter than the 136-byte rate.
+func Wide(data []byte) [WideLanes]uint64 {
+	if len(data) >= rate {
+		panic("keccak: Wide input does not fit in one rate block")
+	}
+	var block [rate]byte
+	copy(block[:], data)
+	block[len(data)] = wideDomain
+	block[rate-1] |= 0x80
+	var a [25]uint64
+	for i := 0; i < rate/8; i++ {
+		a[i] = leUint64(block[i*8:])
+	}
+	keccakF1600(&a)
+	var out [WideLanes]uint64
+	copy(out[:], a[:WideLanes])
+	return out
+}

@@ -137,3 +137,29 @@ func BenchmarkSum256_1K(b *testing.B) {
 		Sum256(data)
 	}
 }
+
+// TestWide pins Wide's contract: deterministic, input-sensitive,
+// distinct from Sum256 of the same bytes, and panicking on inputs that
+// do not fit in one rate block.
+func TestWide(t *testing.T) {
+	a, b := Wide([]byte("leaf")), Wide([]byte("leaf"))
+	if a != b {
+		t.Fatal("Wide is not deterministic")
+	}
+	if Wide([]byte("leag")) == a || Wide(nil) == a {
+		t.Fatal("Wide ignores its input")
+	}
+	sum := Sum256([]byte("leaf"))
+	if leUint64(sum[:]) == a[0] {
+		t.Fatal("Wide shares Sum256's domain")
+	}
+	if Wide(make([]byte, rate-1)) == Wide(make([]byte, rate-2)) {
+		t.Fatal("Wide does not separate inputs by length")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Wide accepted an input of a full rate block")
+		}
+	}()
+	Wide(make([]byte, rate))
+}

@@ -3,8 +3,10 @@ package mvstate
 import (
 	"testing"
 
+	"mtpu/internal/keccak"
 	"mtpu/internal/state"
 	"mtpu/internal/types"
+	"mtpu/internal/uint256"
 )
 
 // oracleEntry mirrors one multi-version write in the naive reference
@@ -118,6 +120,107 @@ func FuzzMVMemory(f *testing.F) {
 					t.Fatalf("final sweep: Read(%v, %d) = %+v, oracle %+v", k, tx, got, want)
 				}
 			}
+		}
+	})
+}
+
+// FuzzStoreCommitment drives random folds, pins and unpins through a
+// Store next to a materialised oracle: a plain StateDB the same writes
+// are applied to, copied at every pin. Each operation consumes 3 fuzz
+// bytes: opcode, key selector, value. A zero value writes zero, which
+// deletes a slot or empties an account field. After every fold the
+// running HeadDigest must equal the head hashed from scratch and the
+// oracle's digest, and every live pin must read and price (DigestWith
+// the block just folded) exactly as its materialised copy does.
+func FuzzStoreCommitment(f *testing.F) {
+	f.Add([]byte{0, 1, 5, 4, 0, 2, 5, 0, 0, 1, 2, 9, 4, 0, 0})
+	f.Add([]byte{5, 0, 0, 3, 6, 0, 4, 0, 1, 3, 6, 0, 4, 0, 0, 6, 0, 0, 4, 0, 0})
+	f.Add([]byte{2, 7, 1, 4, 0, 3, 5, 0, 0, 2, 7, 0, 0, 7, 0, 4, 0, 0, 6, 0, 0, 4, 0, 0})
+
+	coinbase := types.Address{19: 0xfe}
+	keys := [8]state.AccessKey{
+		balKey(types.Address{19: 1}),
+		nonceKey(types.Address{19: 1}),
+		codeKey(types.Address{19: 2}),
+		balKey(types.Address{19: 3}),
+		storageKey(types.Address{19: 2}, types.Hash{31: 1}),
+		storageKey(types.Address{19: 2}, types.Hash{31: 2}),
+		storageKey(types.Address{19: 3}, types.Hash{31: 1}),
+		storageKey(types.Address{19: 5}, types.Hash{31: 1}),
+	}
+	type livePin struct {
+		snap *Snapshot
+		db   *state.StateDB
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		genesis := storeGenesis()
+		genesis.SetState(types.Address{19: 2}, types.Hash{31: 1}, *uint256.NewInt(4))
+		genesis.DiscardJournal()
+		st := NewStore(genesis, nil)
+		seq := genesis.Copy()
+		var pins []livePin
+		var wk []state.AccessKey
+		var wv []Value
+
+		for i := 0; i+3 <= len(data) && i < 3*256; i += 3 {
+			op, sel, v := data[i]%8, int(data[i+1]), uint64(data[i+2]%4)
+			switch {
+			case op <= 3: // buffer one write of the next block
+				k := keys[sel%len(keys)]
+				var val Value
+				switch k.Kind {
+				case state.AccessNonce:
+					val.U64 = v
+				case state.AccessCode:
+					if v != 0 {
+						val.Code = []byte{byte(v)}
+						val.Hash = types.Hash(keccak.Sum256(val.Code))
+					}
+				default:
+					val.Word.SetUint64(v)
+				}
+				wk, wv = append(wk, k), append(wv, val)
+			case op == 4: // fold the buffered block
+				fee := uint256.NewInt(v)
+				st.Commit(wk, wv, coinbase, fee)
+				for _, p := range pins {
+					o := BuildOverrides(p.snap, wk, wv, coinbase, fee)
+					want := p.db.Copy()
+					applyWrites(want, wk, wv, coinbase, fee)
+					if got := p.snap.DigestWith(o); got != want.Digest() {
+						t.Fatalf("op %d: pin at %d prices %s, materialised %s", i/3, p.snap.Height(), got, want.Digest())
+					}
+					for _, k := range keys {
+						if got, want := p.snap.GetBalance(k.Addr), p.db.GetBalance(k.Addr); !got.Eq(want) {
+							t.Fatalf("op %d: pin at %d reads balance %v, materialised %v", i/3, p.snap.Height(), got, want)
+						}
+						if got, want := p.snap.GetState(k.Addr, k.Slot), p.db.GetState(k.Addr, k.Slot); got != want {
+							t.Fatalf("op %d: pin at %d reads slot %v, materialised %v", i/3, p.snap.Height(), got, want)
+						}
+					}
+				}
+				applyWrites(seq, wk, wv, coinbase, fee)
+				wk, wv = nil, nil
+				head := st.HeadDigest()
+				if full := st.HeadDB().Digest(); head != full {
+					t.Fatalf("op %d: running head digest %s != recomputed %s", i/3, head, full)
+				}
+				if head != seq.Digest() {
+					t.Fatalf("op %d: head digest %s != sequential oracle %s", i/3, head, seq.Digest())
+				}
+			case op <= 6: // pin the head
+				pins = append(pins, livePin{snap: st.Pin(), db: seq.Copy()})
+			default: // release one pin
+				if len(pins) > 0 {
+					j := sel % len(pins)
+					pins[j].snap.Close()
+					pins = append(pins[:j], pins[j+1:]...)
+				}
+			}
+		}
+		for _, p := range pins {
+			p.snap.Close()
 		}
 	})
 }

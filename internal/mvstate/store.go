@@ -2,8 +2,8 @@
 // every execution engine. It generalizes Block-STM's multi-version
 // memory (the intra-block version lists in MVMemory/View, which the
 // stm executor drives) to the cross-block axis: a Store owns the
-// canonical head StateDB and keeps, per interned state key, a short
-// version chain of the values committed at each block height. Pinned
+// canonical head StateDB and keeps, per recently written state key, a
+// short version chain of the values committed at each block height. Pinned
 // Snapshots read the state as of their height even while later blocks
 // fold in, which is what lets the stream pipeline prefetch and decode
 // block N+1 while block N is still executing — the versioned analogue
@@ -15,8 +15,15 @@
 // snapshots (DAG engines through an Overlay, the STM executor through
 // View/MVMemory), and the commit stage folds each block's winning
 // write-set into the head with Commit. Version chains are pruned as
-// pins release, so the steady-state memory cost is the head plus a few
-// entries per recently-written key.
+// pins release, and a key whose only version every live pin already
+// sees is swept out, so the steady-state memory cost is the head plus a
+// few entries per recently-written key.
+//
+// The store also keeps the head's state commitment (state.Sum) as a
+// running sum. Commit updates it through the same delta path that
+// prices a write-set (Sum.With), and every snapshot carries the sum of
+// its height, so HeadDigest is O(1) and pricing a block's digest is
+// O(write-set), not O(state).
 package mvstate
 
 import (
@@ -33,28 +40,36 @@ import (
 // code runs in one-shot replays (bare genesis) and in the chained
 // stream service (store snapshots).
 type Reader interface {
+	state.Reader
 	Exist(types.Address) bool
-	GetBalance(types.Address) *uint256.Int
-	GetNonce(types.Address) uint64
 	GetCode(types.Address) []byte
-	GetCodeHash(types.Address) types.Hash
-	GetState(types.Address, types.Hash) uint256.Int
 }
 
 var _ Reader = (*state.StateDB)(nil)
 var _ Reader = (*Snapshot)(nil)
 
-// KeyID is the dense interned id of one state.AccessKey, assigned in
-// first-fold order (the cross-block analogue of the simulator's
-// TouchID interning).
-type KeyID uint32
-
 // centry is one committed version of a key: the value the key holds
-// from block `height` onward (height 0 is the pre-image the key had
-// before its first fold).
+// from block `height` onward.
 type centry struct {
 	height uint64
 	val    Value
+}
+
+// versions is one key's version chain, oldest first. Its first entry
+// may be the pre-image the key held before the fold that created the
+// chain; the last entry's height is the key's last write.
+type versions struct {
+	chain []centry
+}
+
+func (v *versions) last() uint64 { return v.chain[len(v.chain)-1].height }
+
+// foldList is the set of keys one Commit folded. A key's chain is
+// always listed under its last-write height, so sweeping the lists
+// below the pin floor reaches every chain that has become prunable.
+type foldList struct {
+	height uint64
+	keys   []state.AccessKey
 }
 
 // Store owns the canonical head state and the per-key version chains
@@ -68,13 +83,15 @@ type Store struct {
 	heightC *sync.Cond // signaled on every Commit and on Interrupt
 
 	base        *state.StateDB // canonical head; mutated only by Commit
+	sum         state.Sum      // commitment of base, kept by Commit
 	height      uint64         // number of blocks folded in
 	interrupted bool
 
-	intern    map[state.AccessKey]KeyID
-	keys      []state.AccessKey
-	chains    [][]centry
-	lastWrite []uint64 // height of the most recent fold per key
+	versions map[state.AccessKey]*versions
+	folds    []foldList // unswept fold lists, in height order
+	// swept is the highest height whose fold list was swept: every key
+	// without a chain was last written at or below it (or never).
+	swept uint64
 
 	pins map[uint64]int // snapshot height -> refcount
 
@@ -83,15 +100,16 @@ type Store struct {
 	maxChain int
 }
 
-// NewStore copies genesis into a private head and returns a store at
-// height 0. tel may be nil.
+// NewStore copies genesis into a private head, hashes its commitment
+// once, and returns a store at height 0. tel may be nil.
 func NewStore(genesis *state.StateDB, tel *telemetry.Metrics) *Store {
 	s := &Store{
-		base:   genesis.Copy(),
-		intern: make(map[state.AccessKey]KeyID),
-		pins:   make(map[uint64]int),
-		tel:    tel,
+		base:     genesis.Copy(),
+		versions: make(map[state.AccessKey]*versions),
+		pins:     make(map[uint64]int),
+		tel:      tel,
 	}
+	s.sum = s.base.Sum()
 	s.heightC = sync.NewCond(s.mu.RLocker())
 	return s
 }
@@ -126,11 +144,24 @@ func (s *Store) Interrupt() {
 	s.heightC.Broadcast()
 }
 
-// HeadDigest digests the canonical head under the read lock.
+// Release drops the head state and the version bookkeeping for good,
+// keeping the height and the head commitment: after a service drains,
+// nothing folds or reads state again, but its report and health check
+// still ask for Height and HeadDigest. Only Height, WaitHeight,
+// Interrupt and HeadDigest may be called after Release.
+func (s *Store) Release() {
+	s.mu.Lock()
+	s.base, s.versions, s.folds, s.pins = nil, nil, nil, nil
+	s.mu.Unlock()
+}
+
+// HeadDigest returns the digest of the head's running commitment: O(1),
+// equal to HeadDB().Digest() hashed from scratch.
 func (s *Store) HeadDigest() types.Hash {
 	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.base.Digest()
+	sum := s.sum
+	s.mu.RUnlock()
+	return sum.Digest()
 }
 
 // Head returns a bare snapshot of the canonical head: reads go straight
@@ -139,9 +170,8 @@ func (s *Store) HeadDigest() types.Hash {
 // or channel ordering) that no Commit runs concurrently with its reads.
 func (s *Store) Head() *Snapshot {
 	s.mu.RLock()
-	h := s.height
-	s.mu.RUnlock()
-	return &Snapshot{db: s.base, height: h}
+	defer s.mu.RUnlock()
+	return &Snapshot{db: s.base, height: s.height, sum: s.sum}
 }
 
 // HeadDB exposes the head StateDB under the same sequencing contract
@@ -158,7 +188,7 @@ func (s *Store) Pin() *Snapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.pins[s.height]++
-	return &Snapshot{store: s, db: s.base, height: s.height, pinned: true}
+	return &Snapshot{store: s, db: s.base, height: s.height, pinned: true, sum: s.sum}
 }
 
 func (s *Store) unpin(h uint64) {
@@ -173,15 +203,23 @@ func (s *Store) unpin(h uint64) {
 
 // Invalidated reports whether any of keys was folded after height
 // since: a prefetch that resolved those keys from a snapshot at that
-// height read stale values and must be redone. Keys never interned
-// were never folded and are trivially clean.
+// height read stale values and must be redone. A key with a chain is
+// judged by its last write. A key without one was last written at or
+// below the swept height (or never), so it is clean when since is at
+// or above that height and conservatively stale below it: a swept key
+// never hides a fold. While a pin at since is live the floor stays at
+// or below since, the sweep stays below it, and the answer is exact.
 func (s *Store) Invalidated(keys []state.AccessKey, since uint64) bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	stale := false
 	for _, k := range keys {
-		if id, ok := s.intern[k]; ok && s.lastWrite[id] > since {
-			stale = true
+		if v := s.versions[k]; v != nil {
+			stale = v.last() > since
+		} else {
+			stale = since < s.swept
+		}
+		if stale {
 			break
 		}
 	}
@@ -198,8 +236,11 @@ func (s *Store) Invalidated(keys []state.AccessKey, since uint64) bool {
 // new chain version at the next height and the head StateDB is updated
 // in place. The block's aggregate fee is folded as one more chained
 // coinbase-balance write (the carve-out keeps it out of write-sets, so
-// it is re-attached here). Chains are pruned against the lowest live
-// pin. Returns the new height.
+// it is re-attached here). The running commitment is updated through
+// the same delta path that priced the block (BuildOverrides then
+// Sum.With), before the head mutates. Chains are pruned against the
+// lowest live pin, and fold lists below it are swept. Returns the new
+// height.
 func (s *Store) Commit(keys []state.AccessKey, vals []Value, coinbase types.Address, fee *uint256.Int) uint64 {
 	s.mu.Lock()
 	h := s.height + 1
@@ -211,38 +252,34 @@ func (s *Store) Commit(keys []state.AccessKey, vals []Value, coinbase types.Addr
 		}
 	}
 
+	s.sum = s.sum.With(s.base, BuildOverrides(s.base, keys, vals, coinbase, fee))
+	var feeBal Value
+	withFee := fee != nil && !fee.IsZero()
+	if withFee {
+		feeBal.Word.Add(s.base.GetBalance(coinbase), fee)
+	}
+
 	folded, pruned := 0, 0
+	fold := make([]state.AccessKey, 0, len(keys)+1)
 	apply := func(k state.AccessKey, val Value) {
-		id, ok := s.intern[k]
-		if !ok {
-			id = KeyID(len(s.keys))
-			s.intern[k] = id
-			s.keys = append(s.keys, k)
-			s.chains = append(s.chains, nil)
-			s.lastWrite = append(s.lastWrite, 0)
-		}
-		ch := s.chains[id]
-		if len(ch) == 0 {
+		v := s.versions[k]
+		if v == nil {
 			// Seed the chain with the pre-image so snapshots pinned below
 			// h keep reading the pre-fold value after the head mutates.
-			ch = append(ch, centry{height: 0, val: s.baseValue(k)})
+			// The key last changed at or below the swept height, and every
+			// live pin sits above that, so the pre-image holds from there.
+			v = &versions{chain: []centry{{height: s.swept, val: s.baseValue(k)}}}
+			s.versions[k] = v
 			s.entries++
 		}
-		ch = append(ch, centry{height: h, val: val})
+		v.chain = append(v.chain, centry{height: h, val: val})
 		s.entries++
 		folded++
-		// Prune entries no live pin can reach: ch[0] is dead once ch[1]
-		// is visible at the floor height.
-		for len(ch) >= 2 && ch[1].height <= floor {
-			ch = ch[1:]
-			pruned++
-			s.entries--
+		pruned += s.prune(v, floor)
+		if len(v.chain) > s.maxChain {
+			s.maxChain = len(v.chain)
 		}
-		s.chains[id] = ch
-		s.lastWrite[id] = h
-		if len(ch) > s.maxChain {
-			s.maxChain = len(ch)
-		}
+		fold = append(fold, k)
 
 		switch k.Kind {
 		case state.AccessBalance:
@@ -259,15 +296,15 @@ func (s *Store) Commit(keys []state.AccessKey, vals []Value, coinbase types.Addr
 	for i := range keys {
 		apply(keys[i], vals[i])
 	}
-	if fee != nil && !fee.IsZero() {
-		var v Value
-		v.Word.Add(s.base.GetBalance(coinbase), fee)
-		apply(balKey(coinbase), v)
+	if withFee {
+		apply(balKey(coinbase), feeBal)
 	}
 	// The head's setters journal; the fold is final, so drop the undo log
 	// instead of letting it grow with every block.
 	s.base.DiscardJournal()
 	s.height = h
+	s.folds = append(s.folds, foldList{height: h, keys: fold})
+	pruned += s.sweep(floor)
 
 	if s.tel != nil {
 		s.tel.MVStateCommits.Inc()
@@ -279,6 +316,46 @@ func (s *Store) Commit(keys []state.AccessKey, vals []Value, coinbase types.Addr
 	s.mu.Unlock()
 	s.heightC.Broadcast()
 	return h
+}
+
+// prune drops the chain entries no live pin can reach (chain[0] is dead
+// once chain[1] is visible at the floor) and returns how many it drops.
+func (s *Store) prune(v *versions, floor uint64) int {
+	n := 0
+	for len(v.chain) >= 2 && v.chain[1].height <= floor {
+		v.chain = v.chain[1:]
+		n++
+	}
+	s.entries -= n
+	return n
+}
+
+// sweep walks the fold lists below floor: it prunes each listed chain
+// and deletes the keys whose only version lies below the floor — every
+// live pin reads that value from the head, so the chain is dead weight.
+// It returns the number of folded versions dropped. A deleted chain's
+// last entry is not counted: over a chain's life, the one entry beyond
+// its folded versions is the pre-image it was seeded with.
+func (s *Store) sweep(floor uint64) int {
+	gcd := 0
+	for len(s.folds) > 0 && s.folds[0].height < floor {
+		fl := s.folds[0]
+		for _, k := range fl.keys {
+			v := s.versions[k]
+			if v == nil {
+				continue // listed twice in one fold and already swept
+			}
+			gcd += s.prune(v, floor)
+			if len(v.chain) == 1 && v.chain[0].height < floor {
+				delete(s.versions, k)
+				s.entries--
+			}
+		}
+		s.swept = fl.height
+		s.folds[0] = foldList{}
+		s.folds = s.folds[1:]
+	}
+	return gcd
 }
 
 // baseValue reads k's current head value (pre-fold) as a Value.
@@ -308,12 +385,19 @@ type Snapshot struct {
 	db     *state.StateDB
 	height uint64
 	pinned bool
+
+	// sum is the state commitment at height. Store snapshots carry it
+	// from construction; a SnapshotOf snapshot hashes its StateDB on
+	// first use, once (lazy).
+	sum     state.Sum
+	lazy    bool
+	sumOnce sync.Once
 }
 
 // SnapshotOf wraps a plain StateDB as a bare snapshot — the adapter
 // one-shot replay paths use to run engines against a frozen genesis
 // with zero locking overhead.
-func SnapshotOf(db *state.StateDB) *Snapshot { return &Snapshot{db: db} }
+func SnapshotOf(db *state.StateDB) *Snapshot { return &Snapshot{db: db, lazy: true} }
 
 // Height returns the store height the snapshot was taken at (0 for
 // bare snapshots of a genesis).
@@ -332,30 +416,34 @@ func (sn *Snapshot) Close() {
 	}
 }
 
-// Digest digests the snapshot's state. Only valid when the snapshot is
-// at the head (always true for bare snapshots).
-func (sn *Snapshot) Digest() types.Hash {
-	if sn.store == nil {
-		return sn.db.Digest()
+// commitment returns the state commitment as of the snapshot's height.
+func (sn *Snapshot) commitment() state.Sum {
+	if sn.lazy {
+		sn.sumOnce.Do(func() { sn.sum = sn.db.Sum() })
 	}
-	return sn.store.HeadDigest()
+	return sn.sum
 }
 
+// Digest digests the snapshot's state as of its height.
+func (sn *Snapshot) Digest() types.Hash { return sn.commitment().Digest() }
+
 // DigestWith prices a write-set on top of the snapshot without copying
-// it. Only valid at the head (the sequenced execute stage).
+// it: the snapshot's sum, with the old leaves of o's keys read through
+// the snapshot itself. A pinned snapshot therefore prices against its
+// own height even after later blocks fold in.
 func (sn *Snapshot) DigestWith(o *state.Overrides) types.Hash {
-	return sn.db.DigestWith(o)
+	return sn.commitment().With(sn, o).Digest()
 }
 
 // resolve looks k up in the pinned snapshot's version chains; ok is
-// false when the key has no chain (never folded — read the base).
+// false when the key has no chain (never folded, or swept because every
+// live pin sees its head value — read the base).
 func (sn *Snapshot) resolve(k state.AccessKey) (Value, bool) {
-	st := sn.store
-	id, ok := st.intern[k]
-	if !ok {
+	v := sn.store.versions[k]
+	if v == nil {
 		return Value{}, false
 	}
-	ch := st.chains[id]
+	ch := v.chain
 	// Newest entry at or below the pinned height. Chains are short (they
 	// prune to the pin floor), so scan from the tail.
 	for i := len(ch) - 1; i >= 0; i-- {
@@ -460,7 +548,7 @@ func (sn *Snapshot) GetState(addr types.Address, slot types.Hash) uint256.Int {
 // copying the head. The coinbase balance is read from head and bumped
 // by fee — write-sets never contain it (the carve-out), so the merge
 // is well-defined.
-func BuildOverrides(head *Snapshot, keys []state.AccessKey, vals []Value, coinbase types.Address, fee *uint256.Int) *state.Overrides {
+func BuildOverrides(head Reader, keys []state.AccessKey, vals []Value, coinbase types.Address, fee *uint256.Int) *state.Overrides {
 	o := state.NewOverrides()
 	for i, k := range keys {
 		val := vals[i]

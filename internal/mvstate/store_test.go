@@ -136,10 +136,9 @@ func TestChainPruningRespectsPins(t *testing.T) {
 		st.Commit([]state.AccessKey{balKey(a)}, []Value{word(v)}, types.Address{}, nil)
 	}
 
-	id := st.intern[balKey(a)]
 	st.mu.RLock()
-	chainLen := len(st.chains[id])
-	first := st.chains[id][0].height
+	chainLen := len(st.versions[balKey(a)].chain)
+	first := st.versions[balKey(a)].chain[0].height
 	st.mu.RUnlock()
 	// Entries below the pin prune, but the entry visible AT the pin
 	// (height 1) must survive: chain = {1, 2, 3, 4, 5}.
@@ -158,7 +157,7 @@ func TestChainPruningRespectsPins(t *testing.T) {
 	pin.Close()
 	st.Commit([]state.AccessKey{balKey(a)}, []Value{word(6)}, types.Address{}, nil)
 	st.mu.RLock()
-	chainLen = len(st.chains[id])
+	chainLen = len(st.versions[balKey(a)].chain)
 	st.mu.RUnlock()
 	if chainLen != 1 {
 		t.Fatalf("chain length %d after pin release, want 1", chainLen)

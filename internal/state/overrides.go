@@ -1,8 +1,6 @@
 package state
 
 import (
-	"sort"
-
 	"mtpu/internal/keccak"
 	"mtpu/internal/types"
 	"mtpu/internal/uint256"
@@ -24,9 +22,10 @@ type accountOverride struct {
 
 // Overrides is a sparse state patch that can be layered over a StateDB
 // for digest computation without copying the base. It is how the
-// multi-version state layer prices a block's write-set: DigestWith
-// walks base ∪ overrides and hashes the merged view byte-identically
-// to folding the writes in and calling Digest on the result.
+// multi-version state layer prices a block's write-set: Sum.With
+// subtracts the old leaf and adds the new one for each overridden key,
+// giving the digest of folding the writes in without touching the rest
+// of the state.
 type Overrides struct {
 	accounts map[types.Address]*accountOverride
 }
@@ -83,130 +82,12 @@ func (o *Overrides) SetState(addr types.Address, slot types.Hash, v uint256.Int)
 	ov.storage[slot] = v
 }
 
-// DigestWith computes the digest of the state that would result from
-// applying o on top of s, without mutating or copying s. The byte
-// layout, account ordering and the skip-empty rule are identical to
-// Digest, so DigestWith(o) == apply(o).Digest() for every override set.
-// A nil o degenerates to Digest. The receiver is only read.
+// DigestWith returns the digest of the state that would result from
+// applying o on top of s, without mutating or copying s:
+// DigestWith(o) == apply(o).Digest() for every override set. It hashes
+// s from scratch once and prices o's keys on top (Sum.With); callers
+// that keep a running sum price against it directly instead. A nil o
+// degenerates to Digest. The receiver is only read.
 func (s *StateDB) DigestWith(o *Overrides) types.Hash {
-	if o == nil || len(o.accounts) == 0 {
-		return s.Digest()
-	}
-
-	// merged scalar view of one account (storage handled separately).
-	type merged struct {
-		nonce    uint64
-		balance  uint256.Int
-		codeLen  int
-		codeHash types.Hash
-	}
-	resolve := func(addr types.Address) (merged, []types.Hash, func(types.Hash) uint256.Int) {
-		acc := s.accounts[addr]
-		ov := o.accounts[addr]
-		var m merged
-		if acc != nil {
-			m.nonce = acc.Nonce
-			m.balance = acc.Balance
-			m.codeLen = len(acc.Code)
-			m.codeHash = acc.CodeHash
-		}
-		if ov != nil {
-			if ov.nonce != nil {
-				m.nonce = *ov.nonce
-			}
-			if ov.balance != nil {
-				m.balance = *ov.balance
-			}
-			if ov.hasCode {
-				m.codeLen = len(ov.code)
-				m.codeHash = ov.codeHash
-			}
-		}
-		// Merged live slots: base slots not overridden, plus overridden
-		// slots with non-zero values (zero override deletes the slot).
-		var slots []types.Hash
-		if acc != nil {
-			for slot := range acc.Storage {
-				if ov != nil && ov.storage != nil {
-					if _, over := ov.storage[slot]; over {
-						continue
-					}
-				}
-				slots = append(slots, slot)
-			}
-		}
-		if ov != nil {
-			for slot, v := range ov.storage {
-				if !v.IsZero() {
-					slots = append(slots, slot)
-				}
-			}
-		}
-		value := func(slot types.Hash) uint256.Int {
-			if ov != nil && ov.storage != nil {
-				if v, over := ov.storage[slot]; over {
-					return v
-				}
-			}
-			return acc.Storage[slot]
-		}
-		return m, slots, value
-	}
-
-	addrs := make([]types.Address, 0, len(s.accounts)+len(o.accounts))
-	type entry struct {
-		m     merged
-		slots []types.Hash
-		value func(types.Hash) uint256.Int
-	}
-	entries := make(map[types.Address]*entry, len(s.accounts)+len(o.accounts))
-	consider := func(addr types.Address) {
-		if _, seen := entries[addr]; seen {
-			return
-		}
-		m, slots, value := resolve(addr)
-		// Same skip-empty rule as Digest, evaluated on merged values.
-		if m.nonce == 0 && m.balance.IsZero() && m.codeLen == 0 && len(slots) == 0 {
-			return
-		}
-		entries[addr] = &entry{m: m, slots: slots, value: value}
-		addrs = append(addrs, addr)
-	}
-	for addr := range s.accounts {
-		consider(addr)
-	}
-	for addr := range o.accounts {
-		consider(addr)
-	}
-	sort.Slice(addrs, func(i, j int) bool {
-		return string(addrs[i][:]) < string(addrs[j][:])
-	})
-
-	var h keccak.Hasher
-	var u64buf [8]byte
-	writeU64 := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			u64buf[i] = byte(v >> (56 - 8*i))
-		}
-		h.Write(u64buf[:])
-	}
-	for _, addr := range addrs {
-		e := entries[addr]
-		h.Write(addr[:])
-		writeU64(e.m.nonce)
-		b := e.m.balance.Bytes32()
-		h.Write(b[:])
-		h.Write(e.m.codeHash[:])
-
-		sort.Slice(e.slots, func(i, j int) bool {
-			return string(e.slots[i][:]) < string(e.slots[j][:])
-		})
-		for _, slot := range e.slots {
-			v := e.value(slot)
-			h.Write(slot[:])
-			vb := v.Bytes32()
-			h.Write(vb[:])
-		}
-	}
-	return types.Hash(h.Sum256())
+	return s.Sum().With(s, o).Digest()
 }

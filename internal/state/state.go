@@ -1,13 +1,13 @@
 // Package state implements the world state substrate: accounts with
 // balances, nonces, code and contract storage (the State rows of Table 4),
 // with snapshot/revert journaling for transaction aborts, access-set
-// recording for dependency-DAG construction, and deterministic digests for
-// serializability checks across execution modes.
+// recording for dependency-DAG construction, and an additive state
+// commitment whose digest anchors serializability checks across
+// execution modes.
 package state
 
 import (
 	"fmt"
-	"sort"
 
 	"mtpu/internal/keccak"
 	"mtpu/internal/types"
@@ -360,54 +360,14 @@ func (s *StateDB) record(set *AccessSet, key AccessKey) {
 	}
 }
 
-// Digest computes a deterministic Keccak-256 digest over the entire state,
-// used by tests and the core library to assert that every execution mode
-// commits to an identical final state.
+// Digest returns the state commitment's digest (see Sum), hashed from
+// scratch over the entire state. Tests and the core library use it to
+// assert that every execution mode commits to an identical final
+// state; it is also the oracle the incremental sums are checked
+// against. Touched-but-empty accounts contribute no leaf, so they do
+// not perturb it.
 func (s *StateDB) Digest() types.Hash {
-	addrs := make([]types.Address, 0, len(s.accounts))
-	for addr, acc := range s.accounts {
-		// Skip completely empty accounts so that "touched but unchanged"
-		// accounts do not perturb the digest.
-		if acc.Nonce == 0 && acc.Balance.IsZero() && len(acc.Code) == 0 && len(acc.Storage) == 0 {
-			continue
-		}
-		addrs = append(addrs, addr)
-	}
-	sort.Slice(addrs, func(i, j int) bool {
-		return string(addrs[i][:]) < string(addrs[j][:])
-	})
-
-	var h keccak.Hasher
-	var u64buf [8]byte
-	writeU64 := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			u64buf[i] = byte(v >> (56 - 8*i))
-		}
-		h.Write(u64buf[:])
-	}
-	for _, addr := range addrs {
-		acc := s.accounts[addr]
-		h.Write(addr[:])
-		writeU64(acc.Nonce)
-		b := acc.Balance.Bytes32()
-		h.Write(b[:])
-		h.Write(acc.CodeHash[:])
-
-		slots := make([]types.Hash, 0, len(acc.Storage))
-		for slot := range acc.Storage {
-			slots = append(slots, slot)
-		}
-		sort.Slice(slots, func(i, j int) bool {
-			return string(slots[i][:]) < string(slots[j][:])
-		})
-		for _, slot := range slots {
-			v := acc.Storage[slot]
-			h.Write(slot[:])
-			vb := v.Bytes32()
-			h.Write(vb[:])
-		}
-	}
-	return types.Hash(h.Sum256())
+	return s.Sum().Digest()
 }
 
 // AccountCount returns the number of non-empty accounts (for tests/stats).

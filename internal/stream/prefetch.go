@@ -20,6 +20,10 @@ import (
 // re-decodes when the speculation was stale.
 type prefetched struct {
 	block *types.Block
+	// snap is the pinned snapshot the decode ran against. It stays open
+	// until the execute stage has revalidated, which keeps the store's
+	// sweep below the decode's height and the revalidation exact.
+	snap *mvstate.Snapshot
 	// prep is the decode product (traces, receipts, write-set, base
 	// read-set, rebuilt DAG); nil when err is set.
 	prep *core.Prepared
@@ -44,11 +48,10 @@ type prefetched struct {
 //
 // prefetch never rejects a block: validity is a property of the true
 // chained pre-state, which may still be several folds away while this
-// stage runs ahead.
+// stage runs ahead. The caller owns the returned pin (pre.snap).
 func prefetch(store *mvstate.Store, block *types.Block, cfg arch.Config) *prefetched {
 	snap := store.Pin()
-	defer snap.Close()
-	pre := &prefetched{block: block}
+	pre := &prefetched{block: block, snap: snap}
 	pre.prep, pre.err = core.PrepareBlock(snap, block)
 	if pre.err == nil {
 		pre.plans = pu.PlainPlans(pre.prep.Traces)

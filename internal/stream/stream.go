@@ -15,14 +15,18 @@
 // stage revalidates the decode's base read-set against the folds that
 // landed since and re-decodes at the exact pre-state when stale.
 //
-// Stages are connected by bounded channels; ingest applies explicit
-// backpressure (TrySubmit returns ErrQueueFull, the HTTP face answers
-// 429) so a slow executor surfaces as rejected blocks, never as
-// unbounded memory. Close drains gracefully: every accepted block is
-// committed before Wait returns. An optional shadow validator
-// re-executes a sampled fraction of committed blocks through the
-// sequential oracle (difftest.OracleCheck) and either halts the
-// pipeline or logs, per configuration. All signals — admission
+// Admission is bounded by blocks in flight: each accepted block holds
+// one of Config.Queue tokens from ingest until it commits or is counted
+// invalid. Ingest applies explicit backpressure (TrySubmit returns
+// ErrQueueFull, the HTTP face answers 429) once every token is out, so
+// a slow executor surfaces as rejected blocks, never as unbounded
+// memory — and a stalled pipeline admits nothing after its first
+// rejection, so no block is ever accepted behind a gap. Close drains
+// gracefully: every accepted block is committed before Wait returns,
+// and the drained service then releases its head state. An optional
+// shadow validator re-executes a sampled fraction of committed blocks
+// through the sequential oracle (difftest.OracleCheck) and either
+// halts the pipeline or logs, per configuration. All signals — admission
 // counters, per-stage queue depths and busy time, per-block end-to-end
 // latency histograms — flow through internal/telemetry.
 package stream
@@ -48,16 +52,17 @@ import (
 // Sentinel admission errors the ingest faces translate to protocol
 // signals (HTTP 429 / 503).
 var (
-	// ErrQueueFull reports that the ingest queue is at capacity — the
-	// backpressure signal. The block was not accepted; retry later.
+	// ErrQueueFull reports that Config.Queue blocks are already in
+	// flight — the backpressure signal. The block was not accepted;
+	// retry later.
 	ErrQueueFull = errors.New("stream: ingest queue full")
 	// ErrClosed reports that the service is draining or halted and
 	// accepts no further blocks.
 	ErrClosed = errors.New("stream: service closed")
 )
 
-// DefaultQueueDepth bounds each inter-stage channel when Config.Queue
-// is zero: deep enough to keep every stage busy, shallow enough that a
+// DefaultQueueDepth bounds the blocks in flight when Config.Queue is
+// zero: deep enough to keep every stage busy, shallow enough that a
 // stalled executor rejects ingest within a handful of blocks.
 const DefaultQueueDepth = 8
 
@@ -69,14 +74,16 @@ type Config struct {
 	// executes against it, and every committed block's write-set folds
 	// into the head, so later blocks see true chained state. Required.
 	Genesis *state.StateDB
-	// VerifyChain recomputes the head-state digest after every fold and
-	// asserts it matches the digest the block was verified against — the
-	// digest-continuity check. Full-state hashing per block; meant for
-	// CI and debugging, not peak-throughput serving.
+	// VerifyChain checks, after every fold, that the head's running
+	// commitment equals both the digest the block was verified against
+	// (digest continuity) and the head state hashed from scratch
+	// (incremental == recompute). Full-state hashing per block; meant
+	// for CI and debugging, not peak-throughput serving.
 	VerifyChain bool
 	// NumPUs overrides the architectural PU count when > 0.
 	NumPUs int
-	// Queue bounds each inter-stage channel (0 = DefaultQueueDepth).
+	// Queue bounds the blocks in flight, from acceptance to commit or
+	// invalidation (0 = DefaultQueueDepth).
 	Queue int
 	// HotspotTopN is how many hot contracts the Contract Table learns
 	// from each committed block's traces, warming the next block's
@@ -122,6 +129,10 @@ type Service struct {
 	tel   *telemetry.Metrics
 	store *mvstate.Store
 
+	// tokens holds one entry per block in flight; its capacity is the
+	// admission bound. Every stage channel is as deep, so no send on
+	// behalf of an admitted block ever waits for space.
+	tokens  chan struct{}
 	ingestQ chan ingested
 	execQ   chan *prefetched
 	commitQ chan *executed
@@ -190,6 +201,7 @@ func New(cfg Config) (*Service, error) {
 		acc:     core.New(acfg),
 		tel:     tel,
 		store:   mvstate.NewStore(cfg.Genesis, tel),
+		tokens:  make(chan struct{}, queue),
 		ingestQ: make(chan ingested, queue),
 		execQ:   make(chan *prefetched, queue),
 		commitQ: make(chan *executed, queue),
@@ -233,24 +245,25 @@ func (s *Service) fail(err error) {
 	})
 }
 
-// Submit hands one block to the pipeline, blocking while the ingest
-// queue is full (in-process sources get natural backpressure). It
-// returns ErrClosed once the service is draining or halted.
+// Submit hands one block to the pipeline, blocking while Config.Queue
+// blocks are in flight (in-process sources get natural backpressure).
+// It returns ErrClosed once the service is draining or halted.
 func (s *Service) Submit(b *types.Block) error {
 	return s.submit(b, true)
 }
 
-// TrySubmit is the non-blocking Submit the network faces use: a full
-// ingest queue returns ErrQueueFull immediately (and counts one
-// rejection) instead of buffering — bounded memory by construction.
+// TrySubmit is the non-blocking Submit the network faces use: with
+// Config.Queue blocks in flight it returns ErrQueueFull immediately
+// (and counts one rejection) instead of buffering — bounded memory by
+// construction.
 func (s *Service) TrySubmit(b *types.Block) error {
 	return s.submit(b, false)
 }
 
 func (s *Service) submit(b *types.Block, wait bool) error {
 	// The lock pairs the closed check with the channel send so Close
-	// cannot close ingestQ between them; the consumer (or quit) always
-	// drains pending sends, so the critical section cannot deadlock.
+	// cannot close ingestQ between them. Tokens return as blocks commit
+	// (or quit closes), so the critical section cannot deadlock.
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -261,10 +274,9 @@ func (s *Service) submit(b *types.Block, wait bool) error {
 		return ErrClosed
 	default:
 	}
-	item := ingested{block: b, at: time.Now()}
 	if !wait {
 		select {
-		case s.ingestQ <- item:
+		case s.tokens <- struct{}{}:
 		default:
 			s.rejected.Add(1)
 			s.tel.StreamRejected.Inc()
@@ -272,11 +284,14 @@ func (s *Service) submit(b *types.Block, wait bool) error {
 		}
 	} else {
 		select {
-		case s.ingestQ <- item:
+		case s.tokens <- struct{}{}:
 		case <-s.quit:
 			return ErrClosed
 		}
 	}
+	// The token guarantees ingestQ has room: it is as deep as the
+	// admission bound.
+	s.ingestQ <- ingested{block: b, at: time.Now()}
 	s.accepted.Add(1)
 	s.tel.StreamAccepted.Inc()
 	s.tel.StreamQueueDepth[telemetry.StagePrefetch].Add(1)
@@ -313,6 +328,9 @@ func (s *Service) Drain() (*Report, error) {
 	return s.Wait()
 }
 
+// release returns a finished block's admission token.
+func (s *Service) release() { <-s.tokens }
+
 // beginWork marks a stage as busy processing (not channel-waiting) and
 // records pipeline overlap when at least one other stage already is.
 func (s *Service) beginWork() time.Time {
@@ -334,8 +352,9 @@ func (s *Service) endWork(stage telemetry.StreamStage, start time.Time) {
 // prefetchLoop decodes each accepted block — conflict DAG, golden
 // sequential traces/receipts, symbol tables and plain plans — one block
 // ahead of execution, speculatively against a pinned snapshot of the
-// head. It never rejects: validity is judged by the execute stage
-// against the true chained pre-state.
+// head, and hands the pin on with the decode. It never rejects:
+// validity is judged by the execute stage against the true chained
+// pre-state.
 func (s *Service) prefetchLoop() {
 	defer close(s.execQ)
 	for item := range s.ingestQ {
@@ -368,6 +387,7 @@ func (s *Service) executeLoop() {
 	for pre := range s.execQ {
 		s.tel.StreamQueueDepth[telemetry.StageExecute].Add(-1)
 		if !s.store.WaitHeight(folds) {
+			pre.snap.Close()
 			return // halted while waiting
 		}
 		start := s.beginWork()
@@ -375,12 +395,17 @@ func (s *Service) executeLoop() {
 			s.execHook()
 		}
 		head := s.store.Head()
-		if pre.err != nil || s.store.Invalidated(pre.prep.BaseReads, pre.prep.Height) {
+		stale := pre.err != nil || s.store.Invalidated(pre.prep.BaseReads, pre.prep.Height)
+		// The prefetch pin held the sweep below the decode's height until
+		// this revalidation; the answer is in, so let the chains prune.
+		pre.snap.Close()
+		if stale {
 			prep, err := core.PrepareBlock(head, pre.block)
 			if err != nil {
 				s.endWork(telemetry.StageExecute, start)
 				s.invalid.Add(1)
 				s.tel.StreamInvalid.Inc()
+				s.release()
 				s.logf("stream: block %s rejected: %v", pre.block.Hash(), err)
 				continue
 			}
@@ -433,13 +458,12 @@ func (s *Service) commitLoop() {
 		}
 		s.store.Commit(prep.WriteKeys, prep.WriteVals, ex.pre.block.Header.Coinbase, &prep.Fees)
 		if s.cfg.VerifyChain {
-			if got := s.store.HeadDigest(); got != ex.pre.digest {
+			if err := s.verifyChain(ex.pre); err != nil {
 				if pre != nil {
 					pre.Close()
 				}
 				s.endWork(telemetry.StageCommit, start)
-				s.fail(fmt.Errorf("stream: head digest %s after folding block %s != verified digest %s",
-					got, ex.pre.block.Hash(), ex.pre.digest))
+				s.fail(err)
 				return
 			}
 		}
@@ -466,8 +490,32 @@ func (s *Service) commitLoop() {
 		s.tel.StreamCommittedTxs.Add(uint64(len(ex.pre.block.Transactions)))
 		s.tel.Latency(s.label).Record(uint64(time.Since(ex.pre.accepted).Nanoseconds()))
 		s.lastCommit.Store(time.Now().UnixNano())
+		s.release()
 		s.endWork(telemetry.StageCommit, start)
 	}
+	// A drained pipeline has no stage left to read or fold state, so the
+	// head state goes; a halted one may still have stages unwinding.
+	select {
+	case <-s.quit:
+	default:
+		s.store.Release()
+	}
+}
+
+// verifyChain is the -verify-chain check after folding pre.block: the
+// head's running commitment must equal the digest the block was priced
+// at and the head state hashed from scratch.
+func (s *Service) verifyChain(pre *prefetched) error {
+	got := s.store.HeadDigest()
+	if got != pre.digest {
+		return fmt.Errorf("stream: head digest %s after folding block %s != verified digest %s",
+			got, pre.block.Hash(), pre.digest)
+	}
+	if full := s.store.HeadDB().Digest(); full != got {
+		return fmt.Errorf("stream: running head digest %s after folding block %s != recomputed %s",
+			got, pre.block.Hash(), full)
+	}
+	return nil
 }
 
 // shadowStride converts a sample fraction to a deterministic stride:

@@ -102,7 +102,7 @@ type Metrics struct {
 	// batch runs, in which case the snapshot omits the stream section.
 	StreamAccepted     Counter
 	StreamRejected     Counter // queue-full rejections at ingest
-	StreamInvalid      Counter // blocks the prefetch stage rejected
+	StreamInvalid      Counter // blocks the execute stage rejected at the exact pre-state
 	StreamCommitted    Counter
 	StreamCommittedTxs Counter
 	StreamShadowChecks Counter
